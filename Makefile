@@ -5,9 +5,9 @@
 
 export PYTHONPATH := src
 
-.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke bench
+.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check e2e-smoke bench-smoke bench
 
-check: test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke
+check: test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check e2e-smoke bench-smoke
 
 test:
 	python -m pytest -x -q
@@ -92,6 +92,14 @@ plan-audit:
 # event.  Exits non-zero on any violation.
 determinism-check:
 	python -m repro.analysis.determinism audit
+
+# End-to-end benchmark self-test: every workload of BENCHMARK.json runs
+# untraced and traced for one second on tiny inputs and must pass its
+# own output checks (served rows match an eager forward at rtol=1e-6,
+# training losses match an eager replay, fleet ledger bytes balance)
+# and report every declared metric.
+e2e-smoke:
+	python3 e2ebench/selftest.py
 
 bench-smoke:
 	python -m pytest benchmarks/test_perf_microbench.py -q

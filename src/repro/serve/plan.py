@@ -22,7 +22,10 @@ in :mod:`repro.analysis.shapes`) that allocates its output buffers and
 appends its step closures.  Weights are **pinned at compile time** —
 contiguous copies of transposed weight matrices, concatenated GRU gate
 kernels, precomputed batch-norm scale vectors.  Mutating parameters
-after compilation does not affect a plan; build a new one.
+after compilation does not affect a plan; build a new one.  The GRU
+rules share one recurrence with the training plan's GRU forward
+(:func:`_gru_recurrence`): serving runs it over reused scratch, training
+over per-step stacks its backward pass reads.
 
 Shape changes are handled transparently: ``run`` keys compiled traces by
 the input *signature* (the nested structure of shapes and dtypes) and
@@ -302,8 +305,8 @@ class Plan:
         Density below which a Linear weight is pinned as a scipy CSR
         matrix and served through SpMM.
     cache_limit:
-        Maximum number of shape-signature traces kept before the oldest
-        is evicted.
+        Maximum number of shape-signature traces kept (at least 1);
+        past it the oldest-inserted trace is evicted.
     arena_factory:
         Zero-argument callable producing the arena each trace allocates
         from; defaults to :class:`~repro.serve.arena.BufferArena`.  The
@@ -313,6 +316,9 @@ class Plan:
 
     def __init__(self, module, hints=None, verify=True, sparse_threshold=0.5,
                  cache_limit=16, arena_factory=None):
+        if cache_limit < 1:
+            raise ValueError(
+                "cache_limit must be at least 1; got {!r}".format(cache_limit))
         self.module = module
         self._hints = hints
         self._verify = verify
@@ -720,16 +726,14 @@ def _sequence_inputs(module, inputs):
 
 
 class _GateBuffers:
-    """Shared per-gate scratch for the recurrent rules.
+    """Per-gate scratch for the LSTM rules.
 
-    ``pre`` holds gate pre-activations in the GRU step and doubles as
-    mask-blend scratch; the LSTM rules sum pre-activations directly in
-    ``gates4``, so they only allocate ``pre`` when a mask blend needs
-    it (``with_pre=False`` otherwise — the plan auditor flags the dead
-    buffer if it is allocated unused).
+    ``pre`` is mask-blend scratch; the LSTM rules sum pre-activations
+    directly in ``gates4``, so only a masked sequence rule allocates it
+    (the plan auditor flags the dead buffer if it is allocated unused).
     """
 
-    def __init__(self, ctx, batch, hidden, dtype, with_pre=True):
+    def __init__(self, ctx, batch, hidden, dtype, with_pre):
         self.pre = ctx.alloc((batch, hidden), dtype) if with_pre else None
         self.tmp = ctx.alloc((batch, hidden), dtype)
         self.scratch = ctx.alloc((batch, hidden), dtype)
@@ -739,39 +743,89 @@ class _GateBuffers:
         kernels.sigmoid_(x, out, self.scratch, self.mask)
 
 
-def _gru_cell_buffers(ctx, cell, batch, dtype):
-    gates = _GateBuffers(ctx, batch, cell.hidden_size, dtype)
-    pins = {
-        "u_r": ctx.pin(cell.u_r.data.T),
-        "u_z": ctx.pin(cell.u_z.data.T),
-        "u_h": ctx.pin(cell.u_h.data.T),
-    }
-    bufs = {
-        "r": ctx.alloc((batch, cell.hidden_size), dtype),
-        "z": ctx.alloc((batch, cell.hidden_size), dtype),
-        "cand": ctx.alloc((batch, cell.hidden_size), dtype),
-    }
-    return gates, pins, bufs
+def _gru_recurrence(table, urz, uh, pre2, pre, tmp):
+    """The GRU recurrence (paper Eq. 1) over a per-timestep table.
+
+    Shared by the serve ``GRU``/``GRUCell`` rules and the forward of the
+    training ``GRU`` rule.  Each table row is
+    ``(p_rz, p_h, h_prev, h_next, rz_t, r_t, z_t, c_t, rh_t, omz_t, m_t)``:
+    the hoisted input projections of the stacked ``[r|z]`` gates and the
+    candidate, the states read and written, where the step leaves its
+    gates ``rz_t = [r_t|z_t]``, candidate ``c_t``, ``r*h`` and ``1-z``,
+    and the mask column ``m_t`` (``None`` when unmasked).  ``urz`` is
+    the stacked ``[u_r.T | u_z.T]`` and ``uh`` is ``u_h.T``; ``pre2``,
+    ``pre`` and ``tmp`` are scratch.
+
+    Training passes per-step stacks so its backward pass can read them.
+    Serving passes the same buffers at every step, updates ``h`` in
+    place (``h_prev is h_next``) and aliases ``rz_t`` onto ``pre2``,
+    ``c_t`` onto ``pre`` and ``omz_t`` onto ``rh_t``.
+
+    ``z*h + (1-z)*c == h + (1-z)*(c-h)``, and the length mask folds into
+    the same update, ``h_next = h + m*(1-z)*(c-h)``: both forms are
+    linear in ``m``, so this equals the eager blend for any mask values.
+    """
+    # prebound ufuncs + positional ``out``: the loop runs a dozen
+    # tiny-array ops per timestep, so dispatch overhead is the budget
+    mm, vadd, vsub, vmul = np.matmul, np.add, np.subtract, np.multiply
+    vtanh, sigf = np.tanh, kernels.sigmoid_fast_
+    for p_rz, p_h, h_prev, h_next, rz_t, r_t, z_t, c_t, rh_t, omz_t, \
+            m_t in table:
+        mm(h_prev, urz, pre2)
+        vadd(pre2, p_rz, pre2)
+        sigf(pre2, rz_t)
+        vmul(r_t, h_prev, rh_t)
+        mm(rh_t, uh, pre)
+        vadd(pre, p_h, pre)
+        vtanh(pre, c_t)
+        vsub(c_t, h_prev, tmp)
+        vsub(1.0, z_t, omz_t)
+        vmul(tmp, omz_t, tmp)
+        if m_t is not None:
+            vmul(tmp, m_t, tmp)
+        vadd(h_prev, tmp, h_next)
 
 
-def _gru_step(gates, pins, bufs, h, h_next, p_r, p_z, p_h):
-    """One recurrence step: mirrors GRUCell.step given pre-projections."""
-    pre, tmp = gates.pre, gates.tmp
-    r, z, cand = bufs["r"], bufs["z"], bufs["cand"]
-    np.matmul(h, pins["u_r"], out=pre)
-    np.add(pre, p_r, out=pre)
-    gates.sigmoid(pre, r)
-    np.matmul(h, pins["u_z"], out=pre)
-    np.add(pre, p_z, out=pre)
-    gates.sigmoid(pre, z)
-    np.multiply(r, h, out=tmp)
-    np.matmul(tmp, pins["u_h"], out=pre)
-    np.add(pre, p_h, out=pre)
-    np.tanh(pre, out=cand)
-    np.multiply(z, h, out=tmp)
-    np.subtract(1.0, z, out=pre)
-    pre *= cand
-    np.add(tmp, pre, out=h_next)
+class _ServeGru:
+    """Pinned weights and reused scratch of one serve GRU layer.
+
+    The input projection is one ``(rows, F) @ (F, 3H)`` matmul against
+    the pinned ``[w_r; w_z; w_h].T``, matching GRUCell.input_projection's
+    column layout.  Every table row shares one scratch set: ``rz``
+    aliases ``pre2``, ``c`` aliases ``pre`` and ``1-z`` aliases ``r*h``
+    (dead once the candidate matmul has read it), so the scratch is
+    three ``(batch, hidden)`` buffers plus the ``(batch, 2*hidden)``
+    gate pair.
+    """
+
+    def __init__(self, ctx, cell, batch, dtype):
+        hidden = cell.hidden_size
+        self.w_cat = ctx.pin(np.concatenate(
+            [cell.w_r.data, cell.w_z.data, cell.w_h.data], axis=0).T)
+        self.b_cat = ctx.pin(np.concatenate(
+            [cell.b_r.data, cell.b_z.data, cell.b_h.data]))
+        self.urz = ctx.pin(np.concatenate(
+            [cell.u_r.data.T, cell.u_z.data.T], axis=1))
+        self.uh = ctx.pin(cell.u_h.data.T)
+        self.pre2 = ctx.alloc((batch, 2 * hidden), dtype)
+        self.pre = ctx.alloc((batch, hidden), dtype)
+        self.rh = ctx.alloc((batch, hidden), dtype)
+        self.tmp = ctx.alloc((batch, hidden), dtype)
+
+    def row(self, projected, h_prev, h_next, m_t=None):
+        """One table row over a ``(batch, 3*hidden)`` projection view."""
+        hidden = self.pre.shape[1]
+        rz = self.pre2
+        return (projected[:, :2 * hidden], projected[:, 2 * hidden:],
+                h_prev, h_next, rz, rz[:, :hidden], rz[:, hidden:],
+                self.pre, self.rh, self.rh, m_t)
+
+    def run(self, x, projected, table):
+        """Project ``x`` into ``projected``, then run the recurrence."""
+        np.matmul(x, self.w_cat, out=projected)
+        np.add(projected, self.b_cat, out=projected)
+        _gru_recurrence(table, self.urz, self.uh, self.pre2, self.pre,
+                        self.tmp)
 
 
 @register_plan_rule(nn.GRUCell)
@@ -781,28 +835,11 @@ def _plan_gru_cell(module, inputs, ctx):
     x, h = inputs
     batch = x.shape[0]
     dtype = np.result_type(x.dtype, h.dtype, module.w_r.data.dtype)
-    gates, pins, bufs = _gru_cell_buffers(ctx, module, batch, dtype)
-    w_r = ctx.pin(module.w_r.data.T)
-    w_z = ctx.pin(module.w_z.data.T)
-    w_h = ctx.pin(module.w_h.data.T)
-    b_r = ctx.pin(module.b_r.data)
-    b_z = ctx.pin(module.b_z.data)
-    b_h = ctx.pin(module.b_h.data)
-    p_r = ctx.alloc((batch, module.hidden_size), dtype)
-    p_z = ctx.alloc((batch, module.hidden_size), dtype)
-    p_h = ctx.alloc((batch, module.hidden_size), dtype)
+    gru = _ServeGru(ctx, module, batch, dtype)
+    projected = ctx.alloc((batch, 3 * module.hidden_size), dtype)
     out = ctx.alloc((batch, module.hidden_size), dtype)
-
-    def step():
-        np.matmul(x, w_r, out=p_r)
-        np.add(p_r, b_r, out=p_r)
-        np.matmul(x, w_z, out=p_z)
-        np.add(p_z, b_z, out=p_z)
-        np.matmul(x, w_h, out=p_h)
-        np.add(p_h, b_h, out=p_h)
-        _gru_step(gates, pins, bufs, h, out, p_r, p_z, p_h)
-
-    ctx.step(step)
+    table = (gru.row(projected, h, out),)
+    ctx.step(lambda: gru.run(x, projected, table))
     return out
 
 
@@ -831,35 +868,23 @@ def _plan_gru(module, inputs, ctx):
     batch, steps, features = x.shape
     hidden = module.hidden_size
     dtype = np.result_type(x.dtype, cell.w_r.data.dtype)
-    # Concatenated input projection [reset; update; candidate] — one
-    # (B*T, F) @ (F, 3H) matmul replaces three, matching
-    # GRUCell.input_projection's column layout.
-    w_cat = ctx.pin(np.concatenate(
-        [cell.w_r.data, cell.w_z.data, cell.w_h.data], axis=0).T)
-    b_cat = ctx.pin(np.concatenate(
-        [cell.b_r.data, cell.b_z.data, cell.b_h.data]))
-    gates, pins, bufs = _gru_cell_buffers(ctx, cell, batch, dtype)
+    gru = _ServeGru(ctx, cell, batch, dtype)
     projected = ctx.alloc((batch * steps, 3 * hidden), dtype)
     projected3 = projected.reshape(batch, steps, 3 * hidden)
     x2 = x.reshape(batch * steps, features)
     h = ctx.alloc((batch, hidden), dtype)
-    h_next = ctx.alloc((batch, hidden), dtype)
-    blend = _mask_blend_buffers(ctx, mask, batch, dtype)
+    # the mask multiplies in the state dtype, cast once per forward
+    mcols = None if mask is None else ctx.alloc((batch, steps), dtype)
+    table = tuple(
+        gru.row(projected3[:, t, :], h, h,
+                None if mcols is None else mcols[:, t:t + 1])
+        for t in range(steps))
 
     def step():
-        np.matmul(x2, w_cat, out=projected)
-        np.add(projected, b_cat, out=projected)
+        if mcols is not None:
+            np.copyto(mcols, mask, casting="unsafe")
         h[:] = 0.0
-        for t in range(steps):
-            p_t = projected3[:, t, :]
-            _gru_step(gates, pins, bufs, h, h_next,
-                      p_t[:, :hidden], p_t[:, hidden:2 * hidden],
-                      p_t[:, 2 * hidden:])
-            if blend is None:
-                np.copyto(h, h_next)
-            else:
-                _mask_blend(blend, mask[:, t:t + 1], h_next, h,
-                            gates.pre, gates.tmp, h)
+        gru.run(x2, projected, table)
 
     ctx.step(step)
     return h
@@ -882,7 +907,7 @@ def _lstm_gate_step(gates4, parts, c_prev, h_out, c_out, gbuf):
 
 def _lstm_buffers(ctx, cell, batch, dtype, with_pre=False, with_rec=False):
     hidden = cell.hidden_size
-    gbuf = _GateBuffers(ctx, batch, hidden, dtype, with_pre=with_pre)
+    gbuf = _GateBuffers(ctx, batch, hidden, dtype, with_pre)
     pins = {"u": ctx.pin(cell.u.data.T)}
     parts = tuple(
         ctx.alloc((batch, hidden), dtype) for _ in range(4)
@@ -988,6 +1013,9 @@ def _plan_bidirectional(module, inputs, ctx):
 
         def reverse_step():
             np.sum(mask, axis=1, keepdims=True, out=lengths)
+            # Bidirectional.forward truncates the length to an int, so a
+            # fractional mask reverses its whole-step prefix
+            np.floor(lengths, out=lengths)
             np.less(positions, lengths, out=valid)
             np.logical_not(valid, out=invalid)
             # Within the valid prefix read index length-1-t, else t

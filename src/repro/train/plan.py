@@ -58,6 +58,7 @@ from ..serve.plan import (
     UnsupportedModuleError,
     _alloc_inputs,
     _call_eager,
+    _gru_recurrence,
     _signature,
     _to_arrays,
     _write_inputs,
@@ -553,7 +554,8 @@ class TrainPlan:
     verify:
         Self-check every trace against eager forward+backward.
     cache_limit:
-        Maximum number of shape-signature traces kept.
+        Maximum number of shape-signature traces kept (at least 1);
+        past it the oldest-inserted trace is evicted.
     """
 
     def __init__(self, module, loss="cross_entropy", optimizer="sgd",
@@ -563,6 +565,9 @@ class TrainPlan:
             raise ValueError(
                 "loss must be one of {}; got {!r}".format(
                     sorted(_LOSS_BUILDERS), loss))
+        if cache_limit < 1:
+            raise ValueError(
+                "cache_limit must be at least 1; got {!r}".format(cache_limit))
         self.module = module
         self.loss_kind = loss
         self.spec = _OptimizerSpec.resolve(optimizer, optimizer_args)
@@ -1848,11 +1853,8 @@ def _train_gru(module, inputs, ctx):
                           rzs[t], rzs[t][:, :hidden], rzs[t][:, hidden:],
                           cs[t], rhs[t], omzs[t], m_t))
 
-    # prebound ufuncs + positional ``out``: the recurrent loops run
-    # hundreds of tiny-array ops per step, so per-call dispatch overhead
-    # is the actual budget here
     mm, vadd, vsub, vmul = np.matmul, np.add, np.subtract, np.multiply
-    vtanh, vcopy, sigf = np.tanh, np.copyto, kernels.sigmoid_fast_
+    vcopy = np.copyto
 
     def forward():
         vcopy(urzT_r, urT)
@@ -1865,23 +1867,7 @@ def _train_gru(module, inputs, ctx):
         vadd(ph, b_h, ph)
         if mcols is not None:
             vcopy(mcols, mask, casting="unsafe")
-        for p_rz, p_h, h_prev, h_next, rz_t, r_t, z_t, c_t, rh_t, omz_t, \
-                m_t in fwd_table:
-            mm(h_prev, urzT, pre2)
-            vadd(pre2, p_rz, pre2)
-            sigf(pre2, rz_t)
-            vmul(r_t, h_prev, rh_t)
-            mm(rh_t, uhT, pre)
-            vadd(pre, p_h, pre)
-            vtanh(pre, c_t)
-            # z*h + (1-z)*c == h + (1-z)*(c-h), and the length mask then
-            # folds into the same update: h_next = h + m*(1-z)*(c-h)
-            vsub(c_t, h_prev, tmp)
-            vsub(1.0, z_t, omz_t)
-            vmul(tmp, omz_t, tmp)
-            if m_t is not None:
-                vmul(tmp, m_t, tmp)
-            vadd(h_prev, tmp, h_next)
+        _gru_recurrence(fwd_table, urzT, uhT, pre2, pre, tmp)
 
     ctx.fwd(forward)
     out = ctx.keep(hs[steps])
@@ -2343,6 +2329,9 @@ def _train_bidirectional(module, inputs, ctx):
 
         def reverse_step():
             np.sum(mask, axis=1, keepdims=True, out=lengths)
+            # Bidirectional.forward truncates the length to an int, so a
+            # fractional mask reverses its whole-step prefix
+            np.floor(lengths, out=lengths)
             np.less(positions, lengths, out=valid)
             np.logical_not(valid, out=invalid)
             # Within the valid prefix read index length-1-t, else t

@@ -259,6 +259,19 @@ def test_multiview_serve_plan_meets_reduction_bar():
     np.testing.assert_array_equal(before, after)
 
 
+def test_multiview_serve_arena_stays_within_budget():
+    # The serve GRU reuses its scratch across timesteps and aliases the
+    # candidate onto its pre-activation and 1-z onto r*h; without that
+    # aliasing the colored DeepMood arena grows past this budget.
+    module, inputs, _ = _mvm_case()
+    module.train(False)
+    plan = Plan(module)
+    ir, vios = extract_plan_ir(plan, inputs)
+    assert vios == []
+    report = color_plan(plan, inputs, ir)
+    assert report.after_bytes <= 12120, report
+
+
 def test_colored_slot_plan_is_alias_free_under_checker():
     module, inputs, _ = _mvm_case()
     module.train(False)

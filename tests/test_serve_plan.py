@@ -10,12 +10,15 @@ re-traces transparently when the input signature changes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn, profiler
 from repro.analysis import shapes
 from repro.core.model import MultiViewGRUClassifier
 from repro.serve import (
     ArenaFrozenError,
+    Plan,
     PlanVerificationError,
     UnsupportedModuleError,
     compile_plan,
@@ -41,15 +44,27 @@ def _arr(shape, dtype, seed=0):
     return _rng(seed).standard_normal(shape).astype(dtype)
 
 
-def _mask(batch, steps, dtype, seed=1):
+def _mask(batch, steps, dtype, seed=1, kind="prefix"):
     lengths = _rng(seed).integers(1, steps + 1, size=batch)
     mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(dtype)
+    if kind == "holes":  # zeros inside the valid prefix
+        mask[:, 1::2] = 0.0
+    elif kind == "fractional":  # quarter steps, exact in float32
+        mask = (_rng(seed).integers(0, 5, size=(batch, steps)) / 4.0) \
+            .astype(dtype)
+    elif kind == "zero_row":  # a sequence with no valid step at all
+        mask[0] = 0.0
     return mask
 
 
-def _seq_input(features, dtype, masked, seed=0):
+def _seq_input(features, dtype, masked, seed=0, kind="prefix"):
     x = _arr((4, 6, features), dtype, seed)
-    return (x, _mask(4, 6, dtype) if masked else None)
+    return (x, _mask(4, 6, dtype, kind=kind) if masked else None)
+
+
+def _mvm_views(dtype, kind="prefix"):
+    return [(_arr((3, 5, d), dtype, 30 + i), _mask(3, 5, dtype, 40 + i, kind))
+            for i, d in enumerate((4, 6, 3))]
 
 
 def _mlp():
@@ -126,8 +141,7 @@ CASES = {
     "deepmood_mvm": (
         lambda: MultiViewGRUClassifier((4, 6, 3), hidden_size=16,
                                        fusion="mvm", fusion_units=8, seed=29),
-        lambda dt: [(_arr((3, 5, d), dt, 30 + i), _mask(3, 5, dt, 40 + i))
-                    for i, d in enumerate((4, 6, 3))]),
+        _mvm_views),
     "deepmood_bidir_fc": (
         lambda: MultiViewGRUClassifier((4, 3), hidden_size=8, fusion="fc",
                                        fusion_units=6, bidirectional=True,
@@ -135,6 +149,20 @@ CASES = {
         lambda dt: [(_arr((3, 5, d), dt, 50 + i), _mask(3, 5, dt, 60 + i))
                     for i, d in enumerate((4, 3))]),
 }
+
+# The GRU folds its mask into h + m*(1-z)*(c-h), which is linear in m
+# like the eager blend, so masks that are not 0/1 prefixes must agree
+# too: with holes, with fractional weights, and with an empty row.
+for _kind in ("holes", "fractional", "zero_row"):
+    CASES["gru_masked_" + _kind] = (
+        CASES["gru_masked"][0],
+        lambda dt, k=_kind: _seq_input(5, dt, masked=True, kind=k))
+    CASES["bidirectional_masked_" + _kind] = (
+        CASES["bidirectional_masked"][0],
+        lambda dt, k=_kind: _seq_input(5, dt, masked=True, kind=k))
+    CASES["deepmood_mvm_" + _kind] = (
+        CASES["deepmood_mvm"][0],
+        lambda dt, k=_kind: _mvm_views(dt, k))
 
 
 def _eager(module, inputs):
@@ -248,6 +276,40 @@ def test_trace_cache_evicts_oldest():
     plan.run(_arr((3, 4), np.float64))
     assert len(plan.signatures) == 2
     assert plan.compile_count == 3
+
+
+@settings(deadline=None, max_examples=40)
+@given(limit=st.integers(1, 4),
+       batches=st.lists(st.integers(1, 6), min_size=1, max_size=24))
+def test_trace_cache_churn_follows_fifo_model(limit, batches):
+    """Past ``cache_limit`` the cache evicts in insertion order.
+
+    A reference FIFO of batch shapes predicts the cached signatures and
+    every miss; each replay, re-traces of evicted shapes included, must
+    still match eager.
+    """
+    module = nn.Linear(4, 3, rng=_rng(0))
+    plan = Plan(module, cache_limit=limit)
+    fifo, misses = [], 0
+    for batch in batches:
+        shape = (batch, 4)
+        if shape not in fifo:
+            misses += 1
+            if len(fifo) == limit:
+                fifo.pop(0)
+            fifo.append(shape)
+        x = _arr(shape, np.float64, batch)
+        _assert_matches(plan.run(x), _eager(module, x), np.float64)
+        assert len(plan.signatures) <= limit
+        assert [sig_shape for sig_shape, _ in plan.signatures] == fifo
+        assert plan.compile_count == misses
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_trace_cache_limit_below_one_is_rejected(limit):
+    module = nn.Linear(4, 3, rng=_rng(0))
+    with pytest.raises(ValueError, match="cache_limit"):
+        compile_plan(module, _arr((1, 4), np.float64), cache_limit=limit)
 
 
 def test_frozen_arena_rejects_allocation():

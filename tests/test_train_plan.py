@@ -42,14 +42,27 @@ def _arr(shape, dtype, seed=0):
     return _rng(seed).standard_normal(shape).astype(dtype)
 
 
-def _mask(batch, steps, dtype, seed=1):
+def _mask(batch, steps, dtype, seed=1, kind="prefix"):
     lengths = _rng(seed).integers(1, steps + 1, size=batch)
-    return (np.arange(steps)[None, :] < lengths[:, None]).astype(dtype)
+    mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(dtype)
+    if kind == "holes":  # zeros inside the valid prefix
+        mask[:, 1::2] = 0.0
+    elif kind == "fractional":  # quarter steps, exact in float32
+        mask = (_rng(seed).integers(0, 5, size=(batch, steps)) / 4.0) \
+            .astype(dtype)
+    elif kind == "zero_row":  # a sequence with no valid step at all
+        mask[0] = 0.0
+    return mask
 
 
-def _seq_input(features, dtype, masked, seed=0):
+def _seq_input(features, dtype, masked, seed=0, kind="prefix"):
     x = _arr((4, 6, features), dtype, seed)
-    return (x, _mask(4, 6, dtype) if masked else None)
+    return (x, _mask(4, 6, dtype, kind=kind) if masked else None)
+
+
+def _mvm_views(dtype, kind="prefix"):
+    return [(_arr((3, 5, d), dtype, 30 + i), _mask(3, 5, dtype, 40 + i, kind))
+            for i, d in enumerate((4, 6, 3))]
 
 
 def _mlp():
@@ -124,8 +137,7 @@ CASES = {
     "deepmood_mvm": (
         lambda: MultiViewGRUClassifier((4, 6, 3), hidden_size=16,
                                        fusion="mvm", fusion_units=8, seed=29),
-        lambda dt: [(_arr((3, 5, d), dt, 30 + i), _mask(3, 5, dt, 40 + i))
-                    for i, d in enumerate((4, 6, 3))]),
+        _mvm_views),
     "deepmood_bidir_fc": (
         lambda: MultiViewGRUClassifier((4, 3), hidden_size=8, fusion="fc",
                                        fusion_units=6, bidirectional=True,
@@ -133,6 +145,20 @@ CASES = {
         lambda dt: [(_arr((3, 5, d), dt, 50 + i), _mask(3, 5, dt, 60 + i))
                     for i, d in enumerate((4, 3))]),
 }
+
+# The GRU folds its mask into h + m*(1-z)*(c-h), and its backward splits
+# the state gradient the same way; both are linear in m like the eager
+# blend, so masks that are not 0/1 prefixes must train identically too.
+for _kind in ("holes", "fractional", "zero_row"):
+    CASES["gru_masked_" + _kind] = (
+        CASES["gru_masked"][0],
+        lambda dt, k=_kind: _seq_input(5, dt, masked=True, kind=k))
+    CASES["bidirectional_masked_" + _kind] = (
+        CASES["bidirectional_masked"][0],
+        lambda dt, k=_kind: _seq_input(5, dt, masked=True, kind=k))
+    CASES["deepmood_mvm_" + _kind] = (
+        CASES["deepmood_mvm"][0],
+        lambda dt, k=_kind: _mvm_views(dt, k))
 
 
 def _cast(inputs, dtype):
@@ -295,6 +321,13 @@ def test_retrace_on_new_signature():
     plan.step(_arr((3, 6), np.float64), _rng(1).integers(0, 4, size=3))
     assert plan.compile_count == 2
     assert len(plan.signatures) == 2
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_trace_cache_limit_below_one_is_rejected(limit):
+    module = nn.Linear(6, 4, rng=_rng(0))
+    with pytest.raises(ValueError, match="cache_limit"):
+        TrainPlan(module, cache_limit=limit)
 
 
 def test_verification_catches_divergence(monkeypatch):
