@@ -116,14 +116,16 @@ class TestConv2d:
         def forward():
             return conv2d(Tensor(conv_input), Tensor(w_data), padding=1)
 
-        fwd = best_time(forward, reps=5, inner=2)
-
         def forward_backward():
             x = Tensor(conv_input, requires_grad=True)
             w = Tensor(w_data, requires_grad=True)
             conv2d(x, w, padding=1).sum().backward()
 
-        both = best_time(forward_backward, reps=5, inner=2)
+        # Paired so both timings share noise windows: timed one after the
+        # other, a host-speed change between them can make the forward
+        # alone read longer than forward+backward.
+        fwd, both = best_time_paired(forward, forward_backward,
+                                     reps=5, inner=2)
         record("conv2d", forward_s=fwd, forward_backward_s=both,
                backward_s=max(both - fwd, 0.0))
         assert fwd > 0 and both >= fwd

@@ -20,6 +20,12 @@ uint32/uint64 **array** arithmetic, so one call produces the first
 * the XSL-RR output function plus the ``>> 11`` 53-bit double
   conversion of ``Generator.random()``.
 
+Each :class:`KeyedStream` allocates its state and a few uint64 scratch
+arrays once and advances them in place (``out=`` ufuncs), so a draw
+costs no temporaries beyond the fresh array it returns; a returned draw
+never aliases the stream's buffers, and a key of scalars only stays
+0-d throughout.
+
 Bit-identity with ``default_rng(key).random()`` is a tested invariant
 (`tests/test_fleet.py` proves it property-style against live numpy), so
 the batch oracles built on top are replay-compatible with every scalar
@@ -46,13 +52,22 @@ _MIX_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL_WORDS = 4
 
-# PCG64's default 128-bit multiplier, split into uint64 halves.
+# PCG64's default 128-bit multiplier, split into uint64 halves, and the
+# low half's 32-bit limbs for the high half of ``state_lo * _MUL_LO``.
 _MUL_HI = np.uint64(0x2360ED051FC65DA4)
 _MUL_LO = np.uint64(0x4385DF649FCCF645)
+_MUL_LO_0 = np.uint64(0x9FCCF645)
+_MUL_LO_1 = np.uint64(0x4385DF64)
 
 _M32 = np.uint64(0xFFFFFFFF)
 _U32_MASK = 0xFFFFFFFF
+_ONE = np.uint64(1)
+_SHIFT11 = np.uint64(11)
 _SHIFT32 = np.uint64(32)
+_SHIFT63 = np.uint64(63)
+_ROT_SHIFT = np.uint64(58)
+_ROT_MASK = np.uint64(63)
+_WORD_BITS = np.uint64(64)
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 
 
@@ -99,13 +114,13 @@ def _hashmix(value, hash_const):
     """
     value = value ^ np.uint32(hash_const[0])
     hash_const[0] = (hash_const[0] * _MULT_A) & _U32_MASK
-    value = (value * np.uint32(hash_const[0])).astype(np.uint32)
+    value *= np.uint32(hash_const[0])
     value ^= value >> _XSHIFT
     return value
 
 
 def _mix(x, y):
-    result = (x * _MIX_L - y * _MIX_R).astype(np.uint32)
+    result = x * _MIX_L - y * _MIX_R
     result ^= result >> _XSHIFT
     return result
 
@@ -145,27 +160,19 @@ def _generated_state(pool):
     for index in range(2 * _POOL_WORDS):
         value = pool[index % _POOL_WORDS] ^ np.uint32(hash_const[0])
         hash_const[0] = (hash_const[0] * _MULT_B) & _U32_MASK
-        value = (value * np.uint32(hash_const[0])).astype(np.uint32)
+        value *= np.uint32(hash_const[0])
         value ^= value >> _XSHIFT
         out.append(value)
     return out
 
 
-def _u64(lo32, hi32):
-    return lo32.astype(np.uint64) | (hi32.astype(np.uint64) << _SHIFT32)
-
-
-def _mulhi64(a, b):
-    """High 64 bits of a 64x64 product, by 32-bit limbs."""
-    a0 = a & _M32
-    a1 = a >> _SHIFT32
-    b0 = b & _M32
-    b1 = b >> _SHIFT32
-    lo_lo = a0 * b0
-    mid1 = a1 * b0
-    mid2 = a0 * b1
-    carry = ((lo_lo >> _SHIFT32) + (mid1 & _M32) + (mid2 & _M32)) >> _SHIFT32
-    return a1 * b1 + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32) + carry
+def _u64(lo32, hi32, shape):
+    """A fresh ``shape`` uint64 array of ``hi32:lo32``."""
+    out = np.empty(shape, dtype=np.uint64)
+    out[...] = hi32
+    out <<= _SHIFT32
+    out |= lo32
+    return out
 
 
 class KeyedStream:
@@ -174,6 +181,12 @@ class KeyedStream:
     Construction runs the full SeedSequence + PCG64 seeding for every
     element; each :meth:`next_uniform` call then advances every stream by
     exactly one draw, matching ``Generator.random()`` bit-for-bit.
+
+    The 128-bit state lives in two uint64 arrays that every step updates
+    in place, through five uint64 scratch arrays and one carry mask the
+    stream allocates once.  A returned draw is always a fresh array: the
+    next draw never changes it, and two streams share no buffer.  A key
+    of scalars only keeps 0-d state, so its draws are 0-d too.
     """
 
     def __init__(self, components):
@@ -186,43 +199,91 @@ class KeyedStream:
         words = entropy_words(*components)
         shape = np.broadcast_shapes(*[np.shape(w) for w in words])
         state = _generated_state(_mixed_pool(words))
-        init_hi = _u64(state[0], state[1])
-        init_lo = _u64(state[2], state[3])
-        seq_hi = _u64(state[4], state[5])
-        seq_lo = _u64(state[6], state[7])
+        init_hi = _u64(state[0], state[1], shape)
+        init_lo = _u64(state[2], state[3], shape)
+        seq_hi = _u64(state[4], state[5], shape)
+        seq_lo = _u64(state[6], state[7], shape)
+        self._scratch = [np.empty(shape, dtype=np.uint64)
+                         for _ in range(5)]
+        self._carry = np.empty(shape, dtype=bool)
         # pcg_setseq_128_srandom: inc = (initseq << 1) | 1; step;
         # state += initstate; step.
-        self._inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-        self._inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        tmp = self._scratch[0]
+        np.right_shift(seq_lo, _SHIFT63, out=tmp)
+        seq_hi <<= _ONE
+        seq_hi |= tmp
+        seq_lo <<= _ONE
+        seq_lo |= _ONE
+        self._inc_hi, self._inc_lo = seq_hi, seq_lo
         # First srandom step from state 0 is just state = inc.
-        lo = np.broadcast_to(self._inc_lo, shape) + init_lo
-        hi = (np.broadcast_to(self._inc_hi, shape) + init_hi
-              + (lo < self._inc_lo).astype(np.uint64))
-        self._state_hi = hi
-        self._state_lo = lo
+        init_lo += seq_lo
+        init_hi += seq_hi
+        np.less(init_lo, seq_lo, out=self._carry)
+        init_hi += self._carry
+        self._state_hi, self._state_lo = init_hi, init_lo
         self._step()
 
     def _step(self):
-        """128-bit LCG advance: state = state * MUL + inc."""
+        """128-bit LCG advance, ``state = state * MUL + inc``, in place."""
         hi, lo = self._state_hi, self._state_lo
-        new_hi = hi * _MUL_LO + lo * _MUL_HI + _mulhi64(lo, _MUL_LO)
-        new_lo = lo * _MUL_LO
-        lo2 = new_lo + self._inc_lo
-        self._state_hi = new_hi + self._inc_hi + (lo2 < new_lo).astype(np.uint64)
-        self._state_lo = lo2
+        a0, a1, acc, mid, tmp = self._scratch
+        # acc = high 64 bits of lo * _MUL_LO, by 32-bit limbs.
+        np.bitwise_and(lo, _M32, out=a0)
+        np.right_shift(lo, _SHIFT32, out=a1)
+        np.multiply(a0, _MUL_LO_0, out=acc)
+        acc >>= _SHIFT32
+        np.multiply(a1, _MUL_LO_0, out=mid)
+        a0 *= _MUL_LO_1
+        np.bitwise_and(mid, _M32, out=tmp)
+        acc += tmp
+        np.bitwise_and(a0, _M32, out=tmp)
+        acc += tmp
+        acc >>= _SHIFT32
+        mid >>= _SHIFT32
+        acc += mid
+        a0 >>= _SHIFT32
+        acc += a0
+        a1 *= _MUL_LO_1
+        acc += a1
+        # hi = hi * MUL_LO + lo * MUL_HI + mulhi(lo, MUL_LO) + inc_hi + c.
+        hi *= _MUL_LO
+        np.multiply(lo, _MUL_HI, out=tmp)
+        hi += tmp
+        hi += acc
+        hi += self._inc_hi
+        lo *= _MUL_LO
+        np.add(lo, self._inc_lo, out=tmp)
+        np.less(tmp, lo, out=self._carry)
+        hi += self._carry
+        self._state_lo, self._scratch[4] = tmp, lo
+
+    def _output(self, out):
+        """The XSL-RR output of the current state, written into ``out``."""
+        hi = self._state_hi
+        rot, value = self._scratch[0], self._scratch[1]
+        np.right_shift(hi, _ROT_SHIFT, out=rot)
+        np.bitwise_xor(hi, self._state_lo, out=value)
+        np.right_shift(value, rot, out=out)
+        np.subtract(_WORD_BITS, rot, out=rot)
+        rot &= _ROT_MASK
+        value <<= rot
+        out |= value
+        return out
 
     def next_uint64(self):
         """One XSL-RR output per stream (advances every stream)."""
         with np.errstate(over="ignore"):
             self._step()
-            rot = self._state_hi >> np.uint64(58)
-            value = self._state_hi ^ self._state_lo
-            return (value >> rot) | (value << ((np.uint64(64) - rot)
-                                               & np.uint64(63)))
+            return self._output(np.empty(self._state_hi.shape,
+                                         dtype=np.uint64))
 
     def next_uniform(self):
         """One ``Generator.random()`` double in [0, 1) per stream."""
-        return (self.next_uint64() >> np.uint64(11)) * _DOUBLE_SCALE
+        with np.errstate(over="ignore"):
+            self._step()
+            bits = self._output(self._scratch[2])
+        bits >>= _SHIFT11
+        return bits * _DOUBLE_SCALE
 
 
 def keyed_uniforms(components, ndraws):

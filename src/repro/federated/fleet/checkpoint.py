@@ -34,6 +34,7 @@ FORMAT = "fleet-checkpoint-v1"
 
 # 64k rows/chunk: 512 KiB of staging for int64/float64 columns.
 DEFAULT_CHUNK_ROWS = 1 << 16
+_CHUNK_BYTES = DEFAULT_CHUNK_ROWS * 8
 
 
 def save_fleet_checkpoint(path, sim, chunk_rows=DEFAULT_CHUNK_ROWS):
@@ -67,15 +68,15 @@ def load_fleet_checkpoint(path, sim):
 
     The simulator must be configured identically to the one that wrote
     the snapshot (same fleet size and topology); columns stream into
-    the existing arrays, so no second fleet is ever resident.
+    the existing arrays, so no second fleet is ever resident.  Every
+    column member is verified (layout, length, zip CRC) in a streaming
+    pass before the first one is written, so a corrupt or truncated
+    snapshot raises ``ValueError`` and leaves ``sim`` untouched.
     """
     state = sim.state
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("format") != FORMAT:
-            raise ValueError(
-                "unrecognized checkpoint format {!r}".format(
-                    meta.get("format")))
+    columns = state.columns()
+    with _open_checkpoint(path) as zf:
+        meta = _read_meta(zf)
         if meta["num_clients"] != state.num_clients:
             raise ValueError(
                 "checkpoint holds {} clients but the simulator has "
@@ -84,7 +85,9 @@ def load_fleet_checkpoint(path, sim):
             raise ValueError(
                 "checkpoint holds {} edges but the simulator has "
                 "{}".format(meta["num_edges"], state.num_edges))
-        for name, column in state.columns().items():
+        for name, column in columns.items():
+            _read_column(zf, name, column, verify_only=True)
+        for name, column in columns.items():
             _read_column(zf, name, column)
     sim.round_index = int(meta["round_index"])
     sim.clock.now = float(meta["clock_now"])
@@ -98,12 +101,8 @@ def load_fleet_state(path, num_edges=None):
 
     For tooling that wants the fleet without a simulator around it.
     """
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("format") != FORMAT:
-            raise ValueError(
-                "unrecognized checkpoint format {!r}".format(
-                    meta.get("format")))
+    with _open_checkpoint(path) as zf:
+        meta = _read_meta(zf)
         n = int(meta["num_clients"])
         columns = {name: np.zeros(n, dtype=dtype)
                    for name, dtype in COLUMNS}
@@ -111,6 +110,28 @@ def load_fleet_state(path, num_edges=None):
             _read_column(zf, name, column)
     edges = int(num_edges if num_edges is not None else meta["num_edges"])
     return FleetState.from_columns(edges, columns)
+
+
+def _open_checkpoint(path):
+    try:
+        return zipfile.ZipFile(path, "r")
+    except zipfile.BadZipFile as exc:
+        raise ValueError(
+            "{!r} is not a readable fleet checkpoint: {}".format(
+                path, exc)) from exc
+
+
+def _read_meta(zf):
+    try:
+        meta = json.loads(zf.read("meta.json"))
+    except (KeyError, zipfile.BadZipFile, ValueError) as exc:
+        raise ValueError(
+            "checkpoint member 'meta.json' is unreadable: {}".format(
+                exc)) from exc
+    if meta.get("format") != FORMAT:
+        raise ValueError(
+            "unrecognized checkpoint format {!r}".format(meta.get("format")))
+    return meta
 
 
 def _write_column(zf, name, column, chunk_rows):
@@ -127,25 +148,45 @@ def _write_column(zf, name, column, chunk_rows):
             member.write(column[start:start + chunk_rows].tobytes())
 
 
-def _read_column(zf, name, column):
-    """Stream one .npy member into a preallocated column."""
-    with zf.open("col_{}.npy".format(name), "r") as member:
-        version = npy_format.read_magic(member)
-        if version != (1, 0):
-            raise ValueError(
-                "column {!r} uses npy format {}, expected (1, 0)".format(
-                    name, version))
-        shape, fortran, dtype = npy_format.read_array_header_1_0(member)
-        if shape != column.shape or fortran or dtype != column.dtype:
-            raise ValueError(
-                "column {!r} layout mismatch: checkpoint has {} {}, "
-                "fleet has {} {}".format(name, shape, dtype,
-                                         column.shape, column.dtype))
-        view = memoryview(column).cast("B")
-        offset = 0
-        while offset < len(view):
-            read = member.readinto(view[offset:])
-            if not read:
+def _read_column(zf, name, column, verify_only=False):
+    """Stream one .npy member into a preallocated column.
+
+    The body moves one chunk at a time, so staging stays O(chunk) for
+    any column length.  With ``verify_only`` the chunks are read and
+    dropped and ``column`` is left as it is; the layout, the length and
+    the zip CRC are checked either way.
+    """
+    member_name = "col_{}.npy".format(name)
+    try:
+        with zf.open(member_name, "r") as member:
+            version = npy_format.read_magic(member)
+            if version != (1, 0):
                 raise ValueError(
-                    "column {!r} truncated at byte {}".format(name, offset))
-            offset += read
+                    "column {!r} uses npy format {}, expected "
+                    "(1, 0)".format(name, version))
+            shape, fortran, dtype = npy_format.read_array_header_1_0(member)
+            if shape != column.shape or fortran or dtype != column.dtype:
+                raise ValueError(
+                    "column {!r} layout mismatch: checkpoint has {} {}, "
+                    "fleet has {} {}".format(name, shape, dtype,
+                                             column.shape, column.dtype))
+            view = None if verify_only else memoryview(column).cast("B")
+            offset = 0
+            while offset < column.nbytes:
+                size = min(_CHUNK_BYTES, column.nbytes - offset)
+                if view is None:
+                    read = len(member.read(size))
+                else:
+                    read = member.readinto(view[offset:offset + size])
+                if not read:
+                    raise ValueError(
+                        "column {!r} truncated at byte {}".format(
+                            name, offset))
+                offset += read
+            if member.read(1):
+                raise ValueError(
+                    "column {!r} has bytes past its {} rows".format(
+                        name, column.shape[0]))
+    except (KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError("checkpoint member {!r} is unreadable: {}".format(
+            member_name, exc)) from exc

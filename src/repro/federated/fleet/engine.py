@@ -4,9 +4,19 @@ This is the vectorized counterpart of
 :meth:`repro.federated.FedAvg._robust_client_round` — the same attempt
 loop (backoff, link windows, straggler cutoff, timeout, dropout,
 staleness rejection, corruption, upload loss), the same decision
-*order*, and the same keyed fault oracles, evaluated for every
-participant at once.  The only Python loop is over attempts
-(``policy.max_retries + 1`` iterations); nothing iterates over clients.
+*order*, and the same keyed fault oracles, evaluated as array ops.  The
+only Python loop is over attempts (``policy.max_retries + 1``
+iterations); nothing iterates over clients.
+
+Each attempt is compacted to the clients it still has to decide (those
+pending, on an open link, with a feasible link), and the cascade is
+lazy like the scalar loop: the straggler and staleness oracles answer
+for every active client, dropout only for those neither cut nor timed
+out, corruption only for those also neither dropped nor stale, upload
+loss only for uncorrupted ones.  Results scatter back by index.  The
+oracles are pure keyed functions, so skipping a draw changes nothing
+but the time spent; every oracle sees exactly the (client, attempt)
+pairs the scalar twin asks about, which is a tested invariant.
 
 Two implementations share the entry point:
 
@@ -125,7 +135,6 @@ def _decide_vectorized(state, injector, policy, round_index, rows,
     slowdown = state.slowdown[rows]
     with np.errstate(divide="ignore"):
         down_s = latency + model_bytes / bandwidth
-    up_s = down_s
     feasible = (bandwidth > 0.0) & np.isfinite(down_s)
     outcome = np.where(feasible, OUT_BLOCKED, OUT_INFEASIBLE)
     count = rows.shape[0]
@@ -143,57 +152,69 @@ def _decide_vectorized(state, injector, policy, round_index, rows,
         attempts += pending
         if attempt > 0:
             retries += pending
-            t = t + np.where(pending, policy.backoff_s(attempt), 0.0)
+            t += np.where(pending, policy.backoff_s(attempt), 0.0)
         available = injector.link_available_array(clock_start + t)
-        blocked = pending & ~available
-        t = t + np.where(blocked, probe_wait, 0.0)
-        active = pending & available & feasible
-        if not active.any():
+        t += np.where(pending & ~available, probe_wait, 0.0)
+        idx = np.flatnonzero(pending & available & feasible)
+        if idx.size == 0:
             continue
-        # All oracles answer for every participant (they are pure keyed
-        # functions, so the extra reads cost draws, not correctness);
-        # the cascade below replays the scalar loop's decision order.
-        factor = injector.straggler_factor_array(round_index, client_ids,
-                                                 attempt)
-        compute_s = policy.base_compute_s * slowdown * factor
-        attempt_s = down_s + compute_s + up_s
+        # The cascade runs on the attempt's active clients only, and each
+        # oracle is asked exactly where the scalar loop would ask it: a
+        # check further down is drawn only for the clients that passed
+        # every check above it.  Positions left undrawn are False, and
+        # np.select picks the first true condition, so they never decide.
+        cids = client_ids[idx]
+        factor = injector.straggler_factor_array(round_index, cids, attempt)
+        lag_now = injector.staleness_array(round_index, cids, attempt)
+        down_a = down_s[idx]
+        compute_s = policy.base_compute_s * slowdown[idx] * factor
+        attempt_s = down_a + compute_s + down_a  # upload mirrors download
         cut = compute_s > policy.straggler_cutoff_s
         timed_out = attempt_s > policy.timeout_s
-        dropped = injector.drops_out_array(round_index, client_ids, attempt)
-        lag_now = injector.staleness_array(round_index, client_ids, attempt)
+        dropped = _draw_where(injector.drops_out_array, ~(cut | timed_out),
+                              round_index, cids, attempt)
         stale = lag_now > policy.max_staleness
-        corrupt = injector.corrupts_array(round_index, client_ids, attempt)
-        lost = injector.upload_lost_array(round_index, client_ids, attempt)
+        passed = ~(cut | timed_out | dropped | stale)
+        corrupt = _draw_where(injector.corrupts_array, passed,
+                              round_index, cids, attempt)
+        lost = _draw_where(injector.upload_lost_array, passed & ~corrupt,
+                           round_index, cids, attempt)
         code = np.select(
             [cut, timed_out, dropped, stale, corrupt, lost],
             [OUT_CUT, OUT_TIMEOUT, OUT_DROPOUT, OUT_STALE, OUT_CORRUPT,
              OUT_LOST],
             default=OUT_SUCCESS)
-        elapsed = np.select(
+        t[idx] += np.select(
             [cut, timed_out | dropped],
-            [down_s, policy.timeout_s],
+            [down_a, policy.timeout_s],
             default=attempt_s)
-        t = t + np.where(active, elapsed, 0.0)
         waste_now = np.select(
             [cut | timed_out | dropped, stale | corrupt | lost],
             [model_bytes, 2 * model_bytes],
             default=0)
-        wasted += np.where(active, waste_now, 0)
-        sent += np.where(
-            active,
-            np.where(code == OUT_SUCCESS, 2 * model_bytes, waste_now), 0)
-        succeeded = active & (code == OUT_SUCCESS)
-        up += succeeded * model_bytes
-        down += succeeded * model_bytes
-        outcome = np.where(active, code, outcome)
-        lag = np.where(active, lag_now, lag)
-        pending = pending & ~succeeded
+        wasted[idx] += waste_now
+        ok = code == OUT_SUCCESS
+        sent[idx] += np.where(ok, 2 * model_bytes, waste_now)
+        succeeded = idx[ok]
+        up[succeeded] += model_bytes
+        down[succeeded] += model_bytes
+        outcome[idx] = code
+        lag[idx] = lag_now
+        pending[succeeded] = False
     survived = outcome == OUT_SUCCESS
     return RoundDecisions(
         rows=rows, client_ids=client_ids, outcome=outcome,
         survived=survived, lag=lag, attempts=attempts, retries=retries,
         up=up, down=down, wasted=wasted, sent=sent, finish_s=t,
         duration=float(t.max()))
+
+
+def _draw_where(oracle, mask, round_index, client_ids, attempt):
+    """``oracle`` answered only where ``mask`` holds; False elsewhere."""
+    hit = np.zeros(mask.shape, dtype=bool)
+    sub = np.flatnonzero(mask)
+    hit[sub] = oracle(round_index, client_ids[sub], attempt)
+    return hit
 
 
 def _decide_scalar(state, injector, policy, round_index, rows, client_ids,

@@ -6,12 +6,15 @@ The load-bearing invariants:
   bit-for-bit, so the batch fault oracles equal the scalar ones on any
   overlapping (round, client, attempt) grid;
 * the vectorized round engine is bit-identical to its scalar reference
-  twin — outcomes, byte tallies, timelines, lags — on fleets <= 256;
+  twin — outcomes, byte tallies, timelines, lags — on fleets <= 256,
+  and asks each fault oracle about exactly the (client, attempt) pairs
+  the twin asks about;
 * the decision hot path runs no per-client Python (line-event counts
   are fleet-size-independent);
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
   on every commit/abort path, asserted per round in the ledger;
-* streaming checkpoints resume bit-exactly with bounded peak memory;
+* streaming checkpoints resume bit-exactly with bounded peak memory,
+  and a corrupt or truncated one is rejected before anything is restored;
 * the object-client adapter produces identical models, ledgers, and
   client RNG streams under either engine, and matches legacy FedAvg in
   the fault-free full-participation case.
@@ -19,14 +22,18 @@ The load-bearing invariants:
 
 import os
 import sys
+import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.data import ArrayDataset
 from repro.faults import FaultInjector, FaultSpec
-from repro.faults.keystream import keyed_uniforms
+from repro.faults.keystream import KeyedStream, keyed_uniforms
 from repro.federated import (
     CommunicationLedger,
     FedAvg,
@@ -52,6 +59,7 @@ from repro.federated.fleet import (
     save_fleet_checkpoint,
 )
 from repro.federated.fleet.checkpoint import DEFAULT_CHUNK_ROWS
+from repro.federated.fleet.state import COLUMNS
 from repro.synth import iid_partition, make_digits
 
 CHAOS = FaultSpec(dropout_rate=0.3, straggler_rate=0.4, straggler_scale=6.0,
@@ -99,6 +107,29 @@ class TestKeystream:
         draws = keyed_uniforms([1, np.arange(5), 0], 2)
         assert len(draws) == 2
         assert all(d.shape == (5,) for d in draws)
+
+    def test_scalar_keys_stay_zero_dimensional(self):
+        draws = keyed_uniforms([5, 6, 7], 2)
+        assert all(np.shape(d) == () for d in draws)
+        assert KeyedStream([5, 6, 7]).next_uint64().shape == ()
+
+    @pytest.mark.parametrize("draw", ["next_uniform", "next_uint64"])
+    def test_returned_draws_survive_later_draws(self, draw):
+        stream = KeyedStream([9, np.arange(64), 1])
+        first = getattr(stream, draw)()
+        kept = first.copy()
+        second = getattr(stream, draw)()
+        getattr(stream, draw)()
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+    def test_interleaved_streams_match_solo_runs(self):
+        keys = ([3, 1, np.arange(40), 0], [3, 2, np.arange(40) * 7, 1])
+        solo = [keyed_uniforms(key, 4) for key in keys]
+        a, b = KeyedStream(keys[0]), KeyedStream(keys[1])
+        for k in range(4):
+            assert np.array_equal(a.next_uniform(), solo[0][k])
+            assert np.array_equal(b.next_uniform(), solo[1][k])
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +306,38 @@ def assert_decisions_equal(a, b):
     assert a.duration == b.duration
 
 
+ORACLES = ("drops_out", "straggler_factor", "upload_lost", "corrupts",
+           "staleness")
+
+
+def _count_oracle_pairs(injector):
+    """Wrap ``injector``'s scalar and batch oracles; count what they see.
+
+    The returned Counter maps ``(oracle, client_id, attempt)`` to the
+    number of times either flavour of that oracle was asked about it.
+    """
+    counts = Counter()
+
+    def wrap_scalar(name, oracle):
+        def counted(round_index, client_id, attempt=0):
+            counts[name, int(client_id), attempt] += 1
+            return oracle(round_index, client_id, attempt)
+        return counted
+
+    def wrap_batch(name, oracle):
+        def counted(round_index, client_ids, attempt=0):
+            counts.update((name, cid, attempt)
+                          for cid in np.asarray(client_ids).tolist())
+            return oracle(round_index, client_ids, attempt)
+        return counted
+
+    for name in ORACLES:
+        setattr(injector, name, wrap_scalar(name, getattr(injector, name)))
+        batch = name + "_array"
+        setattr(injector, batch, wrap_batch(name, getattr(injector, batch)))
+    return counts
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("spec", [FaultSpec(), MILD, CHAOS,
                                       FaultSpec(dropout_rate=0.9,
@@ -308,6 +371,74 @@ class TestEngineParity:
                            vectorized=False)
         assert_decisions_equal(vec, ref)
         assert np.array_equal(vec.client_ids, ids)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_bit_identical_on_random_specs_and_policies(self, data):
+        rate = st.one_of(st.just(0.0),
+                         st.floats(0.0, 1.0, exclude_min=True,
+                                   exclude_max=True),
+                         st.just(1.0))
+        period = data.draw(st.one_of(st.just(0.0), st.floats(1.0, 200.0)))
+        spec = FaultSpec(
+            dropout_rate=data.draw(rate), straggler_rate=data.draw(rate),
+            straggler_scale=data.draw(st.floats(0.0, 10.0)),
+            upload_loss_rate=data.draw(rate),
+            corruption_rate=data.draw(rate), stale_rate=data.draw(rate),
+            max_injected_staleness=data.draw(st.integers(0, 4)),
+            link_down_period_s=period,
+            link_down_duration_s=period * data.draw(st.floats(0.0, 0.95)))
+        policy = RobustnessPolicy(
+            max_retries=data.draw(st.integers(0, 3)),
+            timeout_s=data.draw(st.floats(1.0, 150.0)),
+            straggler_cutoff_s=data.draw(st.floats(1.0, 100.0)),
+            backoff_base_s=data.draw(st.floats(0.0, 20.0)),
+            max_staleness=data.draw(st.integers(0, 3)))
+        num_clients = data.draw(st.integers(1, 128))
+        state = FleetState.build(num_clients,
+                                 seed=data.draw(st.integers(0, 1000)))
+        dead = data.draw(st.lists(st.integers(0, num_clients - 1),
+                                  max_size=4))
+        state.link_bw[dead] = 0.0
+        keep = data.draw(st.lists(st.booleans(), min_size=num_clients,
+                                  max_size=num_clients))
+        rows = np.flatnonzero(keep).astype(np.int64)
+        ids = np.asarray(data.draw(st.lists(
+            st.integers(0, 2**32 - 1), min_size=rows.shape[0],
+            max_size=rows.shape[0], unique=True)), dtype=np.int64)
+        injector = FaultInjector(spec=spec,
+                                 seed=data.draw(st.integers(0, 2**31)))
+        round_index = data.draw(st.integers(1, 50))
+        clock_start = data.draw(st.floats(0.0, 1000.0))
+        vec, ref = (decide_round(state, injector, policy, round_index, rows,
+                                 client_ids=ids, clock_start=clock_start,
+                                 vectorized=v)
+                    for v in (True, False))
+        assert_decisions_equal(vec, ref)
+
+    def test_oracles_asked_only_where_the_scalar_twin_asks(self):
+        """Each oracle sees exactly the (client, attempt) pairs the
+        scalar cascade reaches: asking everyone on every attempt (or
+        asking a later check for a client an earlier one settled) fails.
+        """
+        state = FleetState.build(256, seed=11, num_edges=4)
+        policy = RobustnessPolicy(max_retries=2, max_staleness=1)
+        rows = sample_clients(state, 1, 0.7, seed=31)
+        asked = []
+        for vectorized in (True, False):
+            injector = FaultInjector(spec=CHAOS, seed=21)
+            counts = _count_oracle_pairs(injector)
+            decide_round(state, injector, policy, 3, rows,
+                         client_ids=rows * 3 + 1, clock_start=12.5,
+                         vectorized=vectorized)
+            asked.append(counts)
+        lazy, scalar = asked
+        assert lazy == scalar
+        assert max(lazy.values()) == 1
+        per_oracle = Counter(name for name, _, _ in lazy)
+        assert per_oracle["upload_lost"] < per_oracle["corrupts"] \
+            < per_oracle["drops_out"] < per_oracle["straggler_factor"]
+        assert {attempt for _, _, attempt in lazy} == {0, 1, 2}
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_empty_round(self, vectorized):
@@ -629,6 +760,58 @@ class TestStreamingCheckpoint:
         other = self.make(num_clients=1000)
         with pytest.raises(ValueError):
             load_fleet_checkpoint(path, other)
+
+    def _corrupt_load_leaves_sim_untouched(self, path):
+        sim = self.make()
+        sim.run(1)
+        before = sim.fingerprint()
+        with pytest.raises(ValueError) as excinfo:
+            load_fleet_checkpoint(path, sim)
+        assert sim.fingerprint() == before
+        return str(excinfo.value)
+
+    def test_flipped_byte_in_last_column_rejected_before_restore(
+            self, tmp_path):
+        path = str(tmp_path / "fleet.ckpt")
+        self.make().run(3, checkpoint_path=path)
+        member = "col_{}.npy".format(COLUMNS[-1][0])
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(member)
+        with open(path, "r+b") as handle:
+            handle.seek(info.header_offset + 26)
+            name_len, extra_len = np.frombuffer(handle.read(4), "<u2")
+            flip = (info.header_offset + 30 + int(name_len) + int(extra_len)
+                    + info.file_size // 2)
+            handle.seek(flip)
+            byte = handle.read(1)[0]
+            handle.seek(flip)
+            handle.write(bytes([byte ^ 0x01]))
+        assert member in self._corrupt_load_leaves_sim_untouched(path)
+
+    def test_truncated_checkpoint_rejected_before_restore(self, tmp_path):
+        path = str(tmp_path / "fleet.ckpt")
+        self.make().run(3, checkpoint_path=path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        self._corrupt_load_leaves_sim_untouched(path)
+
+    def test_load_stages_one_chunk_for_columns_past_the_bound(
+            self, tmp_path):
+        import tracemalloc
+
+        # 400k rows = 3.2 MB per column: staging a whole column (or its
+        # remainder) would exceed the bound, one chunk does not.
+        path = str(tmp_path / "fleet.ckpt")
+        sim = self.make(num_clients=400_000)
+        save_fleet_checkpoint(path, sim)
+        resumed = self.make(num_clients=400_000)
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        load_fleet_checkpoint(path, resumed)
+        _, high = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert high - base < 4 * DEFAULT_CHUNK_ROWS * 8, high - base
+        assert resumed.fingerprint() == sim.fingerprint()
 
     def test_kill_resume_at_100k_with_bounded_memory(self, tmp_path):
         import tracemalloc
